@@ -1,7 +1,9 @@
 /// \file micro_engine.cpp
 /// google-benchmark microbenches of the real engine's hot paths: 2560-d
 /// distance kernels (the paper's embedding dimension), top-k maintenance,
-/// k-way merge, HNSW search, RPC codec, WAL append, and payload encoding.
+/// k-way merge, HNSW search, RPC codec, WAL append, and payload encoding,
+/// plus the batch read path sweep (exact batch scan vs per-query exact vs
+/// per-query HNSW at 2560-d) that sets the HNSW batch planner's crossover.
 ///
 /// Gate mode (the CI acceptance check for the compressed read path): with
 /// --check=1 and/or --out=PATH the google-benchmark table is skipped and the
@@ -17,6 +19,8 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <map>
+#include <memory>
 #include <string>
 
 #include "common/cpuid.hpp"
@@ -31,6 +35,9 @@
 #include "rpc/codec.hpp"
 #include "stateless/shard_io.hpp"
 #include "storage/wal.hpp"
+#include "workload/corpus.hpp"
+#include "workload/embeddings.hpp"
+#include "workload/queries.hpp"
 
 namespace vdb {
 namespace {
@@ -214,6 +221,85 @@ void BM_FlatScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlatScan);
+
+// ---------------------------------------------------------------------------
+// Batch read path at the paper dimension: one query batch of kSweepBatch
+// planted-cluster terms (the perfbench `query` workload's generator) against
+// a 2560-d cosine store of `rows` points, answered three ways — the exact
+// batch scan (every row read once per batch), per-query exact scans, and
+// per-query HNSW beams (m 16, ef_construct 100) at ef_search `ef`. Items are
+// queries, so items_per_second compares directly; the crossover of the scan
+// and beam rows per ef is HnswIndex::kScanRowsPerEf (EXPERIMENTS.md).
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kSweepBatch = 32;
+
+struct SweepShard {
+  std::unique_ptr<VectorStore> store;
+  std::unique_ptr<HnswIndex> index;
+  std::vector<Vector> queries;
+};
+
+const SweepShard& SweepShardFor(std::size_t rows) {
+  static std::map<std::size_t, SweepShard> shards;
+  auto [it, inserted] = shards.try_emplace(rows);
+  SweepShard& shard = it->second;
+  if (!inserted) return shard;
+  CorpusParams corpus_params;
+  corpus_params.num_documents = rows;
+  const SyntheticCorpus corpus(corpus_params);
+  EmbeddingParams embed_params;
+  embed_params.dim = kPaperDim;
+  const EmbeddingGenerator embedder(embed_params);
+  shard.store = std::make_unique<VectorStore>(kPaperDim, Metric::kCosine);
+  for (const PointRecord& point : embedder.MakePoints(corpus, 0, rows, false)) {
+    (void)shard.store->Add(point.id, point.vector);
+  }
+  shard.index = std::make_unique<HnswIndex>(*shard.store, HnswParams{});
+  (void)shard.index->Build();
+  const BvBrcTermGenerator terms(QueryWorkloadParams{}, embedder);
+  shard.queries = terms.MakeQueries(kSweepBatch);
+  return shard;
+}
+
+void BM_BatchExactScan2560(benchmark::State& state) {
+  const SweepShard& shard = SweepShardFor(static_cast<std::size_t>(state.range(0)));
+  const std::vector<VectorView> views(shard.queries.begin(), shard.queries.end());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ExactSearchBatch(*shard.store, views, 10));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSweepBatch));
+}
+BENCHMARK(BM_BatchExactScan2560)->Arg(1024)->Arg(2048)->Arg(4096)->Arg(8192)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PerQueryExact2560(benchmark::State& state) {
+  const SweepShard& shard = SweepShardFor(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (const Vector& query : shard.queries) {
+      benchmark::DoNotOptimize(ExactSearch(*shard.store, query, 10));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSweepBatch));
+}
+BENCHMARK(BM_PerQueryExact2560)->Arg(1024)->Arg(2048)->Arg(4096)->Arg(8192)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PerQueryHnsw2560(benchmark::State& state) {
+  const SweepShard& shard = SweepShardFor(static_cast<std::size_t>(state.range(0)));
+  SearchParams params;
+  params.k = 10;
+  params.ef_search = static_cast<std::size_t>(state.range(1));
+  for (auto _ : state) {
+    for (const Vector& query : shard.queries) {
+      benchmark::DoNotOptimize(shard.index->Search(query, params));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSweepBatch));
+}
+BENCHMARK(BM_PerQueryHnsw2560)
+    ->ArgsProduct({{1024, 2048, 4096, 8192}, {32, 64, 128}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ShardSegmentCodec(benchmark::State& state) {
   Rng rng(14);

@@ -1,5 +1,6 @@
 #include "cluster/worker.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -9,6 +10,7 @@
 #include "common/logging.hpp"
 #include "common/stopwatch.hpp"
 #include "common/trace.hpp"
+#include "index/hnsw_index.hpp"
 #include "index/search_arena.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
@@ -321,34 +323,52 @@ Message Worker::HandleDelete(const Message& request) {
   return EncodeDeleteResponse(DeleteResponse{status.ok()});
 }
 
-Result<SearchResponse> Worker::SearchLocal(VectorView query,
-                                           const SearchParams& params,
-                                           const Filter& filter) const {
-  VDB_SPAN("worker.search_local");
+Result<std::vector<std::vector<ScoredPoint>>> Worker::SearchShards(
+    std::span<const VectorView> queries, const SearchParams& params,
+    const Filter& filter, std::uint32_t* searched) const {
   // Shards mid-migration-in are invisible to reads until commit: the router
   // double-reads source+destination during a handoff, and serving a partial
   // copy here would shadow complete results from the source.
   const std::unordered_set<ShardId> hidden = HiddenShards();
-  std::vector<std::vector<ScoredPoint>> partials;
-  std::uint32_t searched = 0;
+  // partials[q] collects query q's per-shard hit lists.
+  std::vector<std::vector<std::vector<ScoredPoint>>> partials(queries.size());
+  std::uint32_t shards = 0;
   {
     std::shared_lock lock(shards_mutex_);
-    partials.reserve(shards_.size());
     for (const auto& [shard, collection] : shards_) {
       if (hidden.count(shard) != 0) continue;
-      // Predicated queries prefilter by payload equality per shard (the
-      // prefiltering strategy of the paper's footnote 4).
-      auto hits = filter.Active()
-                      ? collection->SearchFiltered(query, params, filter)
-                      : collection->Search(query, params);
-      VDB_RETURN_IF_ERROR(hits.status());
-      partials.push_back(std::move(*hits));
-      ++searched;
+      ++shards;
+      if (filter.Active()) {
+        // Predicated queries prefilter by payload equality per shard (the
+        // prefiltering strategy of the paper's footnote 4).
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          VDB_ASSIGN_OR_RETURN(auto hits,
+                               collection->SearchFiltered(queries[q], params, filter));
+          partials[q].push_back(std::move(hits));
+        }
+        continue;
+      }
+      VDB_ASSIGN_OR_RETURN(auto hits, collection->SearchBatch(queries, params));
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        partials[q].push_back(std::move(hits[q]));
+      }
     }
   }
+  std::vector<std::vector<ScoredPoint>> merged;
+  merged.reserve(queries.size());
+  for (const auto& per_query : partials) merged.push_back(MergeTopK(per_query, params.k));
+  if (searched != nullptr) *searched = shards;
+  return merged;
+}
+
+Result<SearchResponse> Worker::SearchLocal(VectorView query,
+                                           const SearchParams& params,
+                                           const Filter& filter) const {
+  VDB_SPAN("worker.search_local");
   SearchResponse response;
-  response.hits = MergeTopK(partials, params.k);
-  response.shards_searched = searched;
+  VDB_ASSIGN_OR_RETURN(auto hits, SearchShards(std::span(&query, 1), params, filter,
+                                               &response.shards_searched));
+  response.hits = std::move(hits.front());
   return response;
 }
 
@@ -495,65 +515,66 @@ Result<SearchBatchResponse> Worker::SearchBatchLocal(
   const std::size_t count = view.size();
   SearchBatchResponse response;
   response.results.resize(count);
-  const Filter no_filter;
+  if (count == 0) return response;
+  std::vector<VectorView> queries(count);
+  for (std::size_t q = 0; q < count; ++q) queries[q] = view.query(q);
 
-  if (count < 2) {
-    // A lone query gets the controller's intra-query fan-out instead of batch
-    // width — the two spend the same arena budget.
-    SearchParams params = view.params();
-    params.intra_fanout = CurrentFanout();
-    for (std::size_t q = 0; q < count; ++q) {
-      VDB_SPAN("worker.search_batch");
-      VDB_ASSIGN_OR_RETURN(SearchResponse partial,
-                           SearchLocal(view.query(q), params, no_filter));
-      response.results[q] = std::move(partial.hits);
-    }
-    return response;
-  }
-
-  // Intra-batch parallelism: queries are independent shared-lock readers, so
-  // they fan across the shared arena at the width the controller grants
-  // (width × per-query fan-out never exceeds the arena budget: the batch path
-  // pins fan-out to 1, and the arena runs nested requests inline anyway). The
-  // caller's full trace context (trace id, parent span, worker attribution)
-  // is re-installed on each arena thread so per-query spans stay attributable
-  // to the originating call and parented under the dispatching span. The
-  // backlog gauge tracks queries handed to the arena but not yet finished.
+  // Intra-batch parallelism: the batch is cut into contiguous slices, one
+  // per arena thread at the width the controller grants, and each slice
+  // searches every shard as one batch (Collection::SearchBatch), so a shard's
+  // rows are read once per slice rather than once per query. A slice keeps
+  // at least HnswIndex::kScanMinBatch queries, the smallest batch the index
+  // planner serves by the exact scan. A lone query gets the controller's
+  // intra-query fan-out instead of batch width — the two spend the same
+  // arena budget (width x fan-out never exceeds it: nested arena requests
+  // run inline). The caller's full trace context (trace id, parent span,
+  // worker attribution) is re-installed on each arena thread so spans stay
+  // attributable to the originating call and parented under the dispatching
+  // span; every query records a worker.search_batch span of its slice's
+  // duration there. The backlog gauge tracks queries handed to the arena but
+  // not yet finished.
   SearchParams params = view.params();
-  params.intra_fanout = 1;
-  const std::size_t width =
-      std::min({count, SearchWidth(), [&] {
-                  std::lock_guard<std::mutex> lock(tuner_mutex_);
-                  return tuner_.BatchWidth();
-                }()});
-  std::vector<Status> statuses(count, Status::Ok());
+  params.intra_fanout = count == 1 ? CurrentFanout() : 1;
+  const std::size_t width = std::min(SearchWidth(), [&] {
+    std::lock_guard<std::mutex> lock(tuner_mutex_);
+    return tuner_.BatchWidth();
+  }());
+  const std::size_t slices =
+      std::clamp<std::size_t>(count / HnswIndex::kScanMinBatch, 1, width);
+  std::vector<Status> statuses(slices, Status::Ok());
   std::vector<double> query_seconds(count, 0.0);
   const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
+  const Filter no_filter;
   VDB_GAUGE_ADD("worker.search_backlog", static_cast<std::int64_t>(count));
   Stopwatch batch_watch;
-  SearchArena::Instance().ParallelFor(width, 0, count, /*grain=*/1, [&](std::size_t q) {
+  SearchArena::Instance().ParallelFor(slices, 0, slices, /*grain=*/1, [&](std::size_t s) {
     obs::TraceContextScope trace(trace_ctx);
-    Stopwatch query_watch;
-    {
-      VDB_SPAN("worker.search_batch");
-      auto partial = SearchLocal(view.query(q), params, no_filter);
-      if (partial.ok()) {
-        response.results[q] = std::move(partial->hits);
-      } else {
-        statuses[q] = partial.status();
-      }
+    const std::size_t lo = s * count / slices;
+    const std::size_t hi = (s + 1) * count / slices;
+    Stopwatch slice_watch;
+    auto hits = SearchShards(std::span(queries).subspan(lo, hi - lo), params,
+                             no_filter, nullptr);
+    const double seconds = slice_watch.ElapsedSeconds();
+    if (hits.ok()) {
+      std::move(hits->begin(), hits->end(), response.results.begin() + lo);
+    } else {
+      statuses[s] = hits.status();
     }
-    query_seconds[q] = query_watch.ElapsedSeconds();
-    VDB_GAUGE_ADD("worker.search_backlog", -1);
+    for (std::size_t q = lo; q < hi; ++q) {
+      query_seconds[q] = seconds;
+      obs::RecordStageSeconds("worker.search_batch", seconds);
+    }
+    VDB_GAUGE_ADD("worker.search_backlog", -static_cast<std::int64_t>(hi - lo));
   });
   const double elapsed = batch_watch.ElapsedSeconds();
   for (const Status& status : statuses) {
     VDB_RETURN_IF_ERROR(status);
   }
+  if (count == 1) return response;
 
-  // One controller observation per parallel batch: mean service time, excess
-  // wall-clock over perfect width-way packing as queue wait, and max/mean as
-  // straggler spread.
+  // One controller observation per parallel batch: mean per-query service
+  // time (its slice's), wall-clock beyond that as queue wait (the slices run
+  // side by side, at most one per thread), and max/mean as straggler spread.
   double total = 0.0;
   double worst = 0.0;
   for (const double s : query_seconds) {
@@ -561,11 +582,9 @@ Result<SearchBatchResponse> Worker::SearchBatchLocal(
     worst = std::max(worst, s);
   }
   const double service = total / static_cast<double>(count);
-  const double ideal =
-      service * static_cast<double>((count + width - 1) / width);
   ConcurrencyObservation obs;
   obs.service_seconds = service;
-  obs.queue_wait_seconds = std::max(0.0, elapsed - ideal);
+  obs.queue_wait_seconds = std::max(0.0, elapsed - service);
   obs.straggler_spread = service > 0.0 ? worst / service : 1.0;
   obs.qps = elapsed > 0.0 ? static_cast<double>(count) / elapsed : 0.0;
   {
@@ -665,8 +684,10 @@ Message Worker::HandleBuildIndex(const Message& request) {
   BuildIndexResponse response;
   std::shared_lock lock(shards_mutex_);
   for (const auto& [shard, collection] : shards_) {
+    Stopwatch watch;
     const Status status = collection->BuildIndex();
     if (!status.ok()) return EncodeErrorResponse(status);
+    response.build_seconds += watch.ElapsedSeconds();
     response.indexed_points += collection->Info().indexed_points;
   }
   return EncodeBuildIndexResponse(response);

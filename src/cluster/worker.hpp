@@ -13,6 +13,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -150,8 +151,16 @@ class Worker {
   Message HandleMetricsPull(const Message& request);
   Message HandleTracePull(const Message& request);
 
-  /// Searches all local shards, merging per-shard top-k. `query` may point
-  /// into a decoded message body (zero-copy).
+  /// Searches every visible local shard with the whole batch (one
+  /// Collection::SearchBatch per shard; a filtered batch prefilters per
+  /// query) and merges the per-shard top-k of each query. Queries may point
+  /// into a decoded message body (zero-copy). `searched` (when non-null)
+  /// receives the number of shards searched.
+  Result<std::vector<std::vector<ScoredPoint>>> SearchShards(
+      std::span<const VectorView> queries, const SearchParams& params,
+      const Filter& filter, std::uint32_t* searched) const;
+
+  /// SearchShards of one query.
   Result<SearchResponse> SearchLocal(VectorView query, const SearchParams& params,
                                      const Filter& filter) const;
 
@@ -163,8 +172,9 @@ class Worker {
 
   /// Batched variants: one RPC carries many queries (the paper's query
   /// batch); the whole batch is broadcast to each peer once. Local execution
-  /// parallelizes across queries on the shared SearchArena, at the width the
-  /// concurrency controller currently allows.
+  /// splits the batch into contiguous slices run in parallel on the shared
+  /// SearchArena, at the width the concurrency controller currently allows;
+  /// each slice searches every shard as one batch.
   Result<SearchBatchResponse> SearchBatchLocal(const SearchBatchRequestView& view) const;
   Result<SearchBatchResponse> SearchBatchFanOut(const Message& request,
                                                 const SearchBatchRequestView& view);

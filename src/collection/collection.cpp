@@ -270,18 +270,26 @@ Result<Payload> Collection::GetPayload(PointId id) const {
   return payload;
 }
 
-Result<std::vector<ScoredPoint>> Collection::Search(VectorView query,
-                                                    SearchParams params) const {
+Result<std::vector<std::vector<ScoredPoint>>> Collection::SearchBatch(
+    std::span<const VectorView> queries, SearchParams params) const {
   std::shared_lock lock(mutex_);
-  if (query.size() != config_.dim) return Status::InvalidArgument("query dim mismatch");
+  for (const VectorView query : queries) {
+    if (query.size() != config_.dim) return Status::InvalidArgument("query dim mismatch");
+  }
   // Use the index only when it covers every live point; otherwise fall back
   // to the exact scan (Qdrant searches unindexed segments exactly).
   const bool index_usable = index_ != nullptr && index_->Ready() &&
                             next_unindexed_offset_ >= store_->Size();
   if (index_usable) {
-    return index_->Search(query, params);
+    return index_->SearchBatch(queries, params);
   }
-  return ExactSearch(*store_, query, params.k);
+  return ExactSearchBatch(*store_, queries, params.k);
+}
+
+Result<std::vector<ScoredPoint>> Collection::Search(VectorView query,
+                                                    SearchParams params) const {
+  VDB_ASSIGN_OR_RETURN(auto results, SearchBatch(std::span(&query, 1), params));
+  return std::move(results.front());
 }
 
 Result<std::vector<ScoredPoint>> Collection::SearchFiltered(

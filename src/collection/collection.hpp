@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -112,8 +113,14 @@ class Collection {
   Result<Vector> GetVector(PointId id) const;
   Result<Payload> GetPayload(PointId id) const;
 
-  /// ANN search (index when ready, exact scan otherwise — Qdrant's fallback
-  /// for unindexed segments).
+  /// ANN search of a query batch under one shared lock: the index's batch
+  /// search when it covers every live point (VectorIndex::SearchBatch), the
+  /// exact batch scan otherwise — Qdrant's fallback for unindexed segments.
+  /// results[q] answers queries[q].
+  Result<std::vector<std::vector<ScoredPoint>>> SearchBatch(
+      std::span<const VectorView> queries, SearchParams params) const;
+
+  /// SearchBatch of one query.
   Result<std::vector<ScoredPoint>> Search(VectorView query, SearchParams params) const;
 
   /// Predicated search: prefilter ids by payload equality, then exact-score

@@ -29,7 +29,9 @@ const KernelTable& SelectStartupTable() {
   std::string note;
   const KernelIsa isa =
       ResolveKernelChoice(GetEnvOr("VDB_KERNEL", "auto"), &note);
-  if (!note.empty()) VDB_WARN << "dist kernel dispatch: " << note;
+  if (!note.empty()) {
+    VDB_WARN << "dist kernel dispatch: " << note;
+  }
   const KernelTable* table = KernelsFor(isa);
   VDB_INFO << "dist kernels: " << table->name
            << " (cpu: " << CpuFeatureString() << ")";

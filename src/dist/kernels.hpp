@@ -15,7 +15,9 @@
 /// processing `block_rows` rows per inner pass so the query streams through
 /// registers once per block instead of once per row. Contiguous scans (flat,
 /// SQ, ADC tables, k-means) pass pointers into a row-major block; HNSW passes
-/// gathered neighbour rows.
+/// gathered neighbour rows. Their multi-query forms (`dot_rows_multi` /
+/// `l2_rows_multi`) score a whole query batch against the same rows, one
+/// register tile of queries x rows per pass (the exact batch scan).
 
 #include <cstddef>
 #include <cstdint>
@@ -61,6 +63,20 @@ struct KernelTable {
   /// out[r] = l2sq(q, rows[r]) for r in [0, count)
   void (*l2_rows)(const Scalar* q, const Scalar* const* rows,
                   std::size_t count, std::size_t n, Scalar* out);
+  /// Multi-query form of dot_rows: out[q * count + r] = dot(queries[q],
+  /// rows[r]) for q in [0, nq), r in [0, count). Each (query, row) pair keeps
+  /// its own accumulator with dot_rows' lane order, reduction and tail rows,
+  /// so every output is bit-equal to dot_rows(queries[q], rows, count, n,
+  /// out + q * count). A pass scores a register tile of queries x rows, so
+  /// each row streams through registers once per tile instead of once per
+  /// query — the batch scan's kernel.
+  void (*dot_rows_multi)(const Scalar* const* queries, std::size_t nq,
+                         const Scalar* const* rows, std::size_t count,
+                         std::size_t n, Scalar* out);
+  /// Multi-query form of l2_rows, bit-equal to it per query (see above).
+  void (*l2_rows_multi)(const Scalar* const* queries, std::size_t nq,
+                        const Scalar* const* rows, std::size_t count,
+                        std::size_t n, Scalar* out);
   /// sum_i q[i]*codes[i] with u8 codes widened to float (SQ8 scans).
   float (*dot_u8)(const float* q, const std::uint8_t* codes, std::size_t n);
   /// Transposed-block variant: `block` holds kSqBlockRows rows of n codes in

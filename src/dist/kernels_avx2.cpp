@@ -158,6 +158,94 @@ void L2RowsAvx2(const Scalar* q, const Scalar* const* rows,
   for (; r < count; ++r) out[r] = L2Avx2(q, rows[r], n);
 }
 
+// Multi-query row kernels. Step supplies dot_rows' / l2_rows' per-lane
+// accumulate, scalar tail term and single-row kernel, so each (query, row)
+// pair below repeats exactly the arithmetic its single-query kernel does.
+struct DotStep {
+  static __m256 Acc(__m256 qv, __m256 rv, __m256 acc) {
+    return _mm256_fmadd_ps(qv, rv, acc);
+  }
+  static float Tail(float s, float qi, float ri) { return s + qi * ri; }
+  static float Single(const Scalar* q, const Scalar* row, std::size_t n) {
+    return DotAvx2(q, row, n);
+  }
+};
+
+struct L2Step {
+  static __m256 Acc(__m256 qv, __m256 rv, __m256 acc) {
+    const __m256 d = _mm256_sub_ps(qv, rv);
+    return _mm256_fmadd_ps(d, d, acc);
+  }
+  static float Tail(float s, float qi, float ri) {
+    const float d = qi - ri;
+    return s + d * d;
+  }
+  static float Single(const Scalar* q, const Scalar* row, std::size_t n) {
+    return L2Avx2(q, row, n);
+  }
+};
+
+// NQ queries x 4 rows: 4*NQ accumulators + 4 row registers + 1 query register
+// (13 of 16 ymm at NQ = 2). Writes out[q * stride + j].
+template <class Step, std::size_t NQ>
+void TileAvx2(const Scalar* const* qs, const Scalar* const* rs, std::size_t n,
+              Scalar* out, std::size_t stride) {
+  __m256 acc[NQ][4];
+  for (auto& per_query : acc) {
+    for (auto& a : per_query) a = _mm256_setzero_ps();
+  }
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 rv[4];
+    for (std::size_t j = 0; j < 4; ++j) rv[j] = _mm256_loadu_ps(rs[j] + i);
+    for (std::size_t q = 0; q < NQ; ++q) {
+      const __m256 qv = _mm256_loadu_ps(qs[q] + i);
+      for (std::size_t j = 0; j < 4; ++j) acc[q][j] = Step::Acc(qv, rv[j], acc[q][j]);
+    }
+  }
+  for (std::size_t q = 0; q < NQ; ++q) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      float s = Hsum256(acc[q][j]);
+      for (std::size_t t = i; t < n; ++t) s = Step::Tail(s, qs[q][t], rs[j][t]);
+      out[q * stride + j] = s;
+    }
+  }
+}
+
+// Rows dot_rows scores in 4-row passes are tiled 2 queries x 4 rows, row
+// group outer so the four rows stay in L1 while the batch streams past them;
+// its leftover rows go through the single-row kernel as there.
+template <class Step>
+void RowsMultiAvx2(const Scalar* const* queries, std::size_t nq,
+                   const Scalar* const* rows, std::size_t count, std::size_t n,
+                   Scalar* out) {
+  const std::size_t full = count - count % 4;
+  for (std::size_t r = 0; r < full; r += 4) {
+    std::size_t q = 0;
+    for (; q + 2 <= nq; q += 2) {
+      TileAvx2<Step, 2>(queries + q, rows + r, n, out + q * count + r, count);
+    }
+    if (q < nq) TileAvx2<Step, 1>(queries + q, rows + r, n, out + q * count + r, count);
+  }
+  for (std::size_t r = full; r < count; ++r) {
+    for (std::size_t q = 0; q < nq; ++q) {
+      out[q * count + r] = Step::Single(queries[q], rows[r], n);
+    }
+  }
+}
+
+void DotRowsMultiAvx2(const Scalar* const* queries, std::size_t nq,
+                      const Scalar* const* rows, std::size_t count,
+                      std::size_t n, Scalar* out) {
+  RowsMultiAvx2<DotStep>(queries, nq, rows, count, n, out);
+}
+
+void L2RowsMultiAvx2(const Scalar* const* queries, std::size_t nq,
+                     const Scalar* const* rows, std::size_t count,
+                     std::size_t n, Scalar* out) {
+  RowsMultiAvx2<L2Step>(queries, nq, rows, count, n, out);
+}
+
 float DotU8Avx2(const float* q, const std::uint8_t* codes, std::size_t n) {
   __m256 acc = _mm256_setzero_ps();
   std::size_t i = 0;
@@ -212,7 +300,8 @@ void DotU8QBlockedAvx2(const std::int8_t* q, const std::uint8_t* block,
 
 constexpr KernelTable kAvx2Table = {
     KernelIsa::kAvx2, "avx2", 4,
-    DotAvx2, L2Avx2, DotRowsAvx2, L2RowsAvx2, DotU8Avx2,
+    DotAvx2, L2Avx2, DotRowsAvx2, L2RowsAvx2,
+    DotRowsMultiAvx2, L2RowsMultiAvx2, DotU8Avx2,
     DotU8BlockedAvx2, DotU8QBlockedAvx2,
 };
 

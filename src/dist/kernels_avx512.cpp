@@ -128,6 +128,102 @@ void L2RowsAvx512(const Scalar* q, const Scalar* const* rows,
   for (; r < count; ++r) out[r] = L2Avx512(q, rows[r], n);
 }
 
+// Multi-query row kernels; Step supplies dot_rows' / l2_rows' per-lane
+// accumulate and single-row kernel (see the AVX2 TU).
+struct DotStep {
+  static __m512 Acc(__m512 qv, __m512 rv, __m512 acc) {
+    return _mm512_fmadd_ps(qv, rv, acc);
+  }
+  static float Single(const Scalar* q, const Scalar* row, std::size_t n) {
+    return DotAvx512(q, row, n);
+  }
+};
+
+struct L2Step {
+  static __m512 Acc(__m512 qv, __m512 rv, __m512 acc) {
+    const __m512 d = _mm512_sub_ps(qv, rv);
+    return _mm512_fmadd_ps(d, d, acc);
+  }
+  static float Single(const Scalar* q, const Scalar* row, std::size_t n) {
+    return L2Avx512(q, row, n);
+  }
+};
+
+// NQ queries x 4 rows: up to 16 accumulators + 4 row registers + 1 query
+// register (21 of 32 zmm). One accumulator per pair, 16-wide steps and one
+// masked tail step, as in the 8-row pass of dot_rows / l2_rows.
+template <class Step, std::size_t NQ>
+void TileAvx512(const Scalar* const* qs, const Scalar* const* rs, std::size_t n,
+                Scalar* out, std::size_t stride) {
+  __m512 acc[NQ][4];
+  for (auto& per_query : acc) {
+    for (auto& a : per_query) a = _mm512_setzero_ps();
+  }
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m512 rv[4];
+    for (std::size_t j = 0; j < 4; ++j) rv[j] = _mm512_loadu_ps(rs[j] + i);
+    for (std::size_t q = 0; q < NQ; ++q) {
+      const __m512 qv = _mm512_loadu_ps(qs[q] + i);
+      for (std::size_t j = 0; j < 4; ++j) acc[q][j] = Step::Acc(qv, rv[j], acc[q][j]);
+    }
+  }
+  if (i < n) {
+    const __mmask16 mask = TailMask(n - i);
+    __m512 rv[4];
+    for (std::size_t j = 0; j < 4; ++j) rv[j] = _mm512_maskz_loadu_ps(mask, rs[j] + i);
+    for (std::size_t q = 0; q < NQ; ++q) {
+      const __m512 qv = _mm512_maskz_loadu_ps(mask, qs[q] + i);
+      for (std::size_t j = 0; j < 4; ++j) acc[q][j] = Step::Acc(qv, rv[j], acc[q][j]);
+    }
+  }
+  for (std::size_t q = 0; q < NQ; ++q) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      out[q * stride + j] = _mm512_reduce_add_ps(acc[q][j]);
+    }
+  }
+}
+
+// Rows dot_rows scores in 8-row passes are tiled 4 queries x 4 rows, row
+// group outer so the four rows stay in L1 while the batch streams past them;
+// its leftover rows (count % 8) go through the single-row kernel as there.
+template <class Step>
+void RowsMultiAvx512(const Scalar* const* queries, std::size_t nq,
+                     const Scalar* const* rows, std::size_t count,
+                     std::size_t n, Scalar* out) {
+  const std::size_t full = count - count % 8;
+  for (std::size_t r = 0; r < full; r += 4) {
+    std::size_t q = 0;
+    for (; q + 4 <= nq; q += 4) {
+      TileAvx512<Step, 4>(queries + q, rows + r, n, out + q * count + r, count);
+    }
+    Scalar* tile_out = out + q * count + r;
+    switch (nq - q) {
+      case 3: TileAvx512<Step, 3>(queries + q, rows + r, n, tile_out, count); break;
+      case 2: TileAvx512<Step, 2>(queries + q, rows + r, n, tile_out, count); break;
+      case 1: TileAvx512<Step, 1>(queries + q, rows + r, n, tile_out, count); break;
+      default: break;
+    }
+  }
+  for (std::size_t r = full; r < count; ++r) {
+    for (std::size_t q = 0; q < nq; ++q) {
+      out[q * count + r] = Step::Single(queries[q], rows[r], n);
+    }
+  }
+}
+
+void DotRowsMultiAvx512(const Scalar* const* queries, std::size_t nq,
+                        const Scalar* const* rows, std::size_t count,
+                        std::size_t n, Scalar* out) {
+  RowsMultiAvx512<DotStep>(queries, nq, rows, count, n, out);
+}
+
+void L2RowsMultiAvx512(const Scalar* const* queries, std::size_t nq,
+                       const Scalar* const* rows, std::size_t count,
+                       std::size_t n, Scalar* out) {
+  RowsMultiAvx512<L2Step>(queries, nq, rows, count, n, out);
+}
+
 float DotU8Avx512(const float* q, const std::uint8_t* codes, std::size_t n) {
   __m512 acc = _mm512_setzero_ps();
   std::size_t i = 0;
@@ -250,7 +346,8 @@ void DotU8QBlockedAvx512(const std::int8_t* q, const std::uint8_t* block,
 
 constexpr KernelTable kAvx512Table = {
     KernelIsa::kAvx512, "avx512", 8,
-    DotAvx512, L2Avx512, DotRowsAvx512, L2RowsAvx512, DotU8Avx512,
+    DotAvx512, L2Avx512, DotRowsAvx512, L2RowsAvx512,
+    DotRowsMultiAvx512, L2RowsMultiAvx512, DotU8Avx512,
     DotU8BlockedAvx512, DotU8QBlockedAvx512,
 };
 

@@ -50,6 +50,28 @@ void L2RowsScalar(const Scalar* q, const Scalar* const* rows,
   for (std::size_t r = 0; r < count; ++r) out[r] = L2Scalar(q, rows[r], n);
 }
 
+// Row-outer order keeps each row cache-resident while every query of the
+// batch scores it; the per-pair loop is dot_rows' own, so results match it.
+void DotRowsMultiScalar(const Scalar* const* queries, std::size_t nq,
+                        const Scalar* const* rows, std::size_t count,
+                        std::size_t n, Scalar* out) {
+  for (std::size_t r = 0; r < count; ++r) {
+    for (std::size_t q = 0; q < nq; ++q) {
+      out[q * count + r] = DotScalar(queries[q], rows[r], n);
+    }
+  }
+}
+
+void L2RowsMultiScalar(const Scalar* const* queries, std::size_t nq,
+                       const Scalar* const* rows, std::size_t count,
+                       std::size_t n, Scalar* out) {
+  for (std::size_t r = 0; r < count; ++r) {
+    for (std::size_t q = 0; q < nq; ++q) {
+      out[q * count + r] = L2Scalar(queries[q], rows[r], n);
+    }
+  }
+}
+
 float DotU8Scalar(const float* q, const std::uint8_t* codes, std::size_t n) {
   float acc0 = 0.f, acc1 = 0.f, acc2 = 0.f, acc3 = 0.f;
   std::size_t i = 0;
@@ -89,7 +111,8 @@ void DotU8QBlockedScalar(const std::int8_t* q, const std::uint8_t* block,
 
 constexpr KernelTable kScalarTable = {
     KernelIsa::kScalar, "scalar", 1,
-    DotScalar, L2Scalar, DotRowsScalar, L2RowsScalar, DotU8Scalar,
+    DotScalar, L2Scalar, DotRowsScalar, L2RowsScalar,
+    DotRowsMultiScalar, L2RowsMultiScalar, DotU8Scalar,
     DotU8BlockedScalar, DotU8QBlockedScalar,
 };
 

@@ -28,47 +28,40 @@ Result<std::vector<ScoredPoint>> FlatIndex::Search(VectorView query,
     return Status::InvalidArgument("query dim mismatch");
   }
   // Intra-query fan-out: split the exact scan into contiguous row chunks, one
-  // per arena thread, and merge the per-chunk top-k. Chunks never share an
-  // offset, so the merge dedup is a no-op and the result is identical to the
-  // serial scan. Small stores stay serial — the merge would cost more than
-  // the scan.
+  // per arena thread, and merge the per-chunk top-k. Chunks start on scan
+  // tile boundaries and never share an offset, so every row scores as in the
+  // serial scan, the merge dedup is a no-op and the result is identical.
+  // Small stores stay serial — the merge would cost more than the scan.
   constexpr std::size_t kMinRowsPerChunk = 4096;
   const std::size_t n = store_.Size();
   const std::size_t fanout = std::min(
       params.intra_fanout, std::max<std::size_t>(1, n / kMinRowsPerChunk));
   if (fanout <= 1) return ExactSearch(store_, query, params.k);
 
-  Vector normalized;
-  VectorView effective = query;
-  if (PrefersNormalized(store_.GetMetric())) {
-    normalized.assign(query.begin(), query.end());
-    NormalizeInPlace(normalized);
-    effective = normalized;
-  }
-  const Metric metric = store_.SearchMetric();
-  const std::size_t dim = store_.Dim();
-  const std::size_t per_chunk = (n + fanout - 1) / fanout;
+  const std::size_t per_chunk =
+      ((n + fanout - 1) / fanout + kExactScanTileRows - 1) / kExactScanTileRows *
+      kExactScanTileRows;
   std::vector<std::vector<ScoredPoint>> partial(fanout);
   SearchArena::Instance().ParallelFor(
       fanout, 0, fanout, /*grain=*/1, [&](std::size_t c) {
-        const std::size_t lo = c * per_chunk;
-        const std::size_t hi = std::min(n, lo + per_chunk);
-        TopK local(params.k);
-        constexpr std::size_t kScanBlock = 256;
-        Scalar scores[kScanBlock];
-        for (std::size_t begin = lo; begin < hi; begin += kScanBlock) {
-          const std::size_t count = std::min(kScanBlock, hi - begin);
-          ScoreBatch(metric, effective, store_.Data() + begin * dim, dim, count,
-                     scores);
-          for (std::size_t i = 0; i < count; ++i) {
-            const auto offset = static_cast<std::uint32_t>(begin + i);
-            if (store_.IsDeleted(offset)) continue;
-            local.Push(store_.IdAt(offset), scores[i]);
-          }
-        }
-        partial[c] = local.Take();
+        const std::size_t lo = std::min(n, c * per_chunk);
+        partial[c] = std::move(ExactSearchBatch(store_, std::span(&query, 1), params.k,
+                                                lo, std::min(n, lo + per_chunk))
+                                   .front());
       });
   return MergeTopK(partial, params.k);
+}
+
+Result<std::vector<std::vector<ScoredPoint>>> FlatIndex::SearchBatch(
+    std::span<const VectorView> queries, const SearchParams& params) const {
+  // A lone query keeps Search's intra-query fan-out.
+  if (queries.size() == 1) return VectorIndex::SearchBatch(queries, params);
+  for (const VectorView query : queries) {
+    if (query.size() != store_.Dim()) {
+      return Status::InvalidArgument("query dim mismatch");
+    }
+  }
+  return ExactSearchBatch(store_, queries, params.k);
 }
 
 }  // namespace vdb

@@ -21,6 +21,9 @@ class FlatIndex final : public VectorIndex {
   bool Ready() const override { return true; }
   Result<std::vector<ScoredPoint>> Search(VectorView query,
                                           const SearchParams& params) const override;
+  /// The exact batch scan: every row is read once per batch.
+  Result<std::vector<std::vector<ScoredPoint>>> SearchBatch(
+      std::span<const VectorView> queries, const SearchParams& params) const override;
   const BuildStats& Stats() const override { return stats_; }
   std::uint64_t MemoryBytes() const override { return 0; }
 

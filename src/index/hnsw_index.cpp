@@ -727,6 +727,20 @@ Result<std::vector<ScoredPoint>> HnswIndex::Search(VectorView query,
   return collector.Take();
 }
 
+Result<std::vector<std::vector<ScoredPoint>>> HnswIndex::SearchBatch(
+    std::span<const VectorView> queries, const SearchParams& params) const {
+  const bool scan = queries.size() >= kScanMinBatch &&
+                    store_.Size() <= kScanRowsPerEf * params.ef_search;
+  if (!scan) return VectorIndex::SearchBatch(queries, params);
+  VDB_SPAN("index.hnsw.search_batch_scan");
+  for (const VectorView query : queries) {
+    if (query.size() != store_.Dim()) {
+      return Status::InvalidArgument("query dim mismatch");
+    }
+  }
+  return ExactSearchBatch(store_, queries, params.k);
+}
+
 std::uint64_t HnswIndex::MemoryBytes() const {
   std::lock_guard<std::mutex> lock(graph_mutex_);
   std::uint64_t bytes = (nodes_.Capacity() / NodeTable::kChunkSize + 1) * sizeof(void*);

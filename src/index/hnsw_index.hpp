@@ -82,6 +82,25 @@ class HnswIndex final : public VectorIndex {
   Result<std::vector<ScoredPoint>> Search(VectorView query,
                                           const SearchParams& params) const override;
 
+  /// Batch planner: a batch of at least kScanMinBatch queries over a store
+  /// of at most kScanRowsPerEf x ef_search rows is answered by the exact
+  /// batch scan (ExactSearchBatch), which reads each row once for the whole
+  /// batch and is cheaper there than one beam per query; any other batch
+  /// runs one beam search per query. The scan covers every live row of the
+  /// store, so callers must have indexed all of them (Collection does).
+  Result<std::vector<std::vector<ScoredPoint>>> SearchBatch(
+      std::span<const VectorView> queries, const SearchParams& params) const override;
+
+  /// Smallest batch the planner may serve by the exact scan.
+  static constexpr std::size_t kScanMinBatch = 4;
+  /// Store rows per unit of ef_search up to which the exact batch scan is
+  /// planned. From the micro_engine batch sweep (2560-d, batch of 32, one
+  /// thread; EXPERIMENTS.md "Batch scan vs HNSW beam"): scan and beams cross
+  /// at 90-92 rows per ef for ef 32, 73-74 for ef 64 and 49-57 for ef 128.
+  /// 40 keeps a fifth below the smallest crossover, so the planner scans only
+  /// where the scan won for every swept ef, with room for run-to-run noise.
+  static constexpr std::size_t kScanRowsPerEf = 40;
+
   const BuildStats& Stats() const override { return stats_; }
   std::uint64_t MemoryBytes() const override;
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -108,15 +109,34 @@ class VectorIndex {
   virtual Result<std::vector<ScoredPoint>> Search(VectorView query,
                                                   const SearchParams& params) const = 0;
 
+  /// Top-k of every query in a batch, results[q] for queries[q]. The default
+  /// runs Search once per query; indexes that can share work across the
+  /// batch (the exact scan) override it.
+  virtual Result<std::vector<std::vector<ScoredPoint>>> SearchBatch(
+      std::span<const VectorView> queries, const SearchParams& params) const;
+
   virtual const BuildStats& Stats() const = 0;
 
   /// Approximate index memory footprint (excludes the VectorStore).
   virtual std::uint64_t MemoryBytes() const = 0;
 };
 
-/// Exhaustive scan over all live vectors — exact baseline used both as the
-/// unindexed fallback (Qdrant full-scan mode for small segments) and as
-/// ground truth for recall tests.
+/// Rows per tile of the exact batch scan. Scores depend only on a row's
+/// position within its tile, so scans over row ranges that start on a tile
+/// boundary score every row exactly as the whole-store scan does.
+inline constexpr std::size_t kExactScanTileRows = 64;
+
+/// Exhaustive scan over the live vectors at offsets [row_begin, row_end) for
+/// a whole query batch: results[q] is queries[q]'s exact top-k. Each row tile
+/// is read once per batch and scored against every query by the multi-query
+/// kernels (dist::KernelTable::dot_rows_multi), feeding one TopK per query.
+std::vector<std::vector<ScoredPoint>> ExactSearchBatch(
+    const VectorStore& store, std::span<const VectorView> queries, std::size_t k,
+    std::size_t row_begin = 0, std::size_t row_end = SIZE_MAX);
+
+/// Exact scan for one query (a batch of one) — the unindexed fallback
+/// (Qdrant full-scan mode for small segments) and the ground truth of recall
+/// tests.
 std::vector<ScoredPoint> ExactSearch(const VectorStore& store, VectorView query,
                                      std::size_t k);
 

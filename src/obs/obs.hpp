@@ -314,8 +314,11 @@ double EpochUnixSeconds();
 /// cross-process trace assembly can attribute spans to real OS processes.
 std::uint32_t ProcessId();
 
-/// Records a span sample without a timer — used by the simulator, whose
-/// stage durations are virtual seconds computed from the cost model.
+/// Records a span sample of `seconds` ending now, without a timer (a traced
+/// thread also gets a SpanEvent parented under its current context) — used
+/// by the simulator, whose stage durations are virtual seconds computed from
+/// the cost model, and by the worker's batch path, where each query of a
+/// slice is in service for the whole slice.
 void RecordStageSeconds(const std::string& span, double seconds);
 
 /// Explicit-time span event for callers that can't use thread-local context

@@ -2,6 +2,7 @@
 
 #include "client/client.hpp"
 #include "cluster/cluster.hpp"
+#include "index/hnsw_index.hpp"
 #include "test_util.hpp"
 
 namespace vdb {
@@ -51,6 +52,74 @@ TEST(BatchSearchTest, MatchesPerQuerySearch) {
     ASSERT_TRUE(single.ok());
     EXPECT_EQ((*batched)[q], *single) << "query " << q;
   }
+}
+
+/// Query q's expected cluster answer: the merged exact top-k of every
+/// shard's primary copy.
+std::vector<ScoredPoint> MergedShardExact(LocalCluster& cluster, VectorView query,
+                                          std::size_t k) {
+  const ShardPlacement& placement = cluster.Placement();
+  std::vector<std::vector<ScoredPoint>> partials;
+  for (ShardId shard = 0; shard < placement.NumShards(); ++shard) {
+    const Collection* collection =
+        cluster.GetWorker(placement.PrimaryOf(shard)).ShardForTest(shard);
+    if (collection != nullptr) partials.push_back(collection->ExactSearchForTest(query, k));
+  }
+  return MergeTopK(partials, k);
+}
+
+TEST(BatchSearchTest, TcpBatchEqualsMergedShardExactWhenPlannerScans) {
+  ClusterConfig config = SmallCluster(3);
+  config.transport = ClusterTransport::kTcp;
+  auto cluster = LocalCluster::Start(config);
+  ASSERT_TRUE(cluster.ok());
+  const auto points = RandomPoints(240, 73);
+  ASSERT_TRUE((*cluster)->GetRouter().UpsertBatch(points).ok());
+
+  // ~80 rows per shard with ef 64 is far below the HNSW planner's crossover,
+  // and every worker's slice of a 16-query batch holds at least
+  // HnswIndex::kScanMinBatch queries, so each shard answers by the exact scan.
+  SearchParams params;
+  params.k = 10;
+  ASSERT_LE(points.size(), HnswIndex::kScanRowsPerEf * params.ef_search);
+  const std::vector<Vector> queries = [] {
+    std::vector<Vector> out;
+    for (const auto& point : RandomPoints(16, 74)) out.push_back(point.vector);
+    return out;
+  }();
+  const auto check = [&](const char* phase) {
+    auto batched = (*cluster)->GetRouter().SearchBatch(queries, params);
+    ASSERT_TRUE(batched.ok()) << phase;
+    ASSERT_EQ(batched->size(), queries.size()) << phase;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ((*batched)[q], MergedShardExact(**cluster, queries[q], params.k))
+          << phase << " query " << q;
+    }
+  };
+  check("steady");
+
+  // Worker 0 starts copying in shard 1 (owned by worker 1) and receives a
+  // chunk of points that sit exactly on the queries. A shard mid-migration-in
+  // is hidden from reads until commit, so they must not surface.
+  const ShardId shard = 1;
+  ASSERT_NE((*cluster)->Placement().PrimaryOf(shard), 0u);
+  MigrationBeginRequest begin;
+  begin.shard = shard;
+  ASSERT_TRUE(MessageToStatus(
+                  (*cluster)->GetWorker(0).Handle(EncodeMigrationBeginRequest(begin)))
+                  .ok());
+  std::vector<PointRecord> decoys;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    PointRecord record;
+    record.id = 100000 + q;
+    record.vector = queries[q];
+    decoys.push_back(std::move(record));
+  }
+  ASSERT_TRUE(MessageToStatus((*cluster)->GetWorker(0).Handle(
+                                  EncodeMigrationChunk(shard, decoys)))
+                  .ok());
+  ASSERT_TRUE((*cluster)->GetWorker(0).IsMigratingIn(shard));
+  check("shard hidden mid-migration");
 }
 
 TEST(BatchSearchTest, SelfHitIsTopResult) {

@@ -121,7 +121,7 @@ TEST(ThreadPoolTest, ParallelForGrainCoversSkewedRangeExactlyOnce) {
   // exactly once regardless of which thread claims which slice.
   pool.ParallelFor(0, counts.size(), /*grain=*/7, [&](std::size_t i) {
     volatile std::size_t sink = 0;
-    for (std::size_t spin = 0; spin < i / 100; ++spin) sink += spin;
+    for (std::size_t spin = 0; spin < i / 100; ++spin) sink = sink + spin;
     counts[i]++;
   });
   for (const auto& count : counts) EXPECT_EQ(count.load(), 1);

@@ -215,6 +215,51 @@ TEST_P(KernelParityTest, DotU8QBlockedMatchesIntegerReferenceExactly) {
   }
 }
 
+// The multi-query kernels promise more than closeness: each (query, row)
+// output is bit-equal to the single-query row kernel over the same rows, so
+// the batch scan ranks exactly as a per-query scan would. Query counts
+// straddle the 2- and 4-query tiles, row counts the 4/8-row passes and their
+// leftover rows, dims the 8/16-lane tails.
+TEST_P(KernelParityTest, MultiQueryRowKernelsBitEqualSingleQuery) {
+  Rng rng(48);
+  for (const std::size_t n : {1u, 13u, 100u, 2560u}) {
+    std::vector<UnalignedVec> queries;
+    std::vector<const float*> query_ptrs;
+    for (std::size_t q = 0; q < 32; ++q) {
+      queries.emplace_back(n, q % 3, rng);
+      query_ptrs.push_back(queries.back().data);
+    }
+    std::vector<UnalignedVec> rows;
+    std::vector<const float*> row_ptrs;
+    for (std::size_t r = 0; r < 257; ++r) {
+      rows.emplace_back(n, r % 4, rng);
+      row_ptrs.push_back(rows.back().data);
+    }
+    for (const std::size_t nq : {1u, 3u, 4u, 5u, 32u}) {
+      for (const std::size_t count : {1u, 7u, 8u, 9u, 256u, 257u}) {
+        std::vector<float> dots(nq * count), l2s(nq * count);
+        table_->dot_rows_multi(query_ptrs.data(), nq, row_ptrs.data(), count, n,
+                               dots.data());
+        table_->l2_rows_multi(query_ptrs.data(), nq, row_ptrs.data(), count, n,
+                              l2s.data());
+        std::vector<float> want_dot(count), want_l2(count);
+        for (std::size_t q = 0; q < nq; ++q) {
+          table_->dot_rows(query_ptrs[q], row_ptrs.data(), count, n, want_dot.data());
+          table_->l2_rows(query_ptrs[q], row_ptrs.data(), count, n, want_l2.data());
+          for (std::size_t r = 0; r < count; ++r) {
+            ASSERT_EQ(dots[q * count + r], want_dot[r])
+                << table_->name << " dot q=" << q << "/" << nq << " row " << r
+                << "/" << count << " dim=" << n;
+            ASSERT_EQ(l2s[q * count + r], want_l2[r])
+                << table_->name << " l2 q=" << q << "/" << nq << " row " << r
+                << "/" << count << " dim=" << n;
+          }
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     HostIsas, KernelParityTest, ::testing::ValuesIn(dist::SupportedIsas()),
     [](const ::testing::TestParamInfo<KernelIsa>& info) {

@@ -6,8 +6,10 @@
 ///
 ///   vdbtop --admin=127.0.0.1:7101 --admin=127.0.0.1:7102 --interval=2
 ///
-/// QPS is the per-interval delta of the worker.search_local span count, so
-/// the first refresh shows "-" (no previous sample to difference against).
+/// QPS is the per-interval delta of the worker's per-query search spans —
+/// worker.search_local for single queries, worker.search_batch for each
+/// query of a batch — so the first refresh shows "-" (no previous sample to
+/// difference against). The search latency columns show both spans.
 /// vdbtop itself never touches this process's registry: it is pure decode +
 /// render over snapshot wire blobs, which is why it links (and works) even
 /// in VDB_OBS_DISABLED builds — against instrumented daemons it still shows
@@ -169,11 +171,12 @@ int main(int argc, char** argv) {
     vdb::TextTable table("vdbtop — " + std::to_string(snapshots.size()) + "/" +
                          std::to_string(options.admins.size()) + " workers up");
     table.SetHeader({"worker", "pid", "qps", "search p50/p99 ms",
-                     "rpc p50/p99 ms", "wal p50/p99 ms", "arena occ",
+                     "batch query p50/p99 ms", "rpc p50/p99 ms", "wal p50/p99 ms", "arena occ",
                      "sendq", "backlog hw"});
     for (std::size_t i = 0; i < snapshots.size(); ++i) {
       const vdb::obs::MetricsSnapshot& snapshot = snapshots[i];
-      const std::uint64_t searches = SpanCount(snapshot, "worker.search_local");
+      const std::uint64_t searches = SpanCount(snapshot, "worker.search_local") +
+                                     SpanCount(snapshot, "worker.search_batch");
       std::string qps = "-";
       const auto prev = prev_searches.find(endpoint_of[i]);
       if (prev != prev_searches.end() && searches >= prev->second && tick > 0) {
@@ -186,10 +189,11 @@ int main(int argc, char** argv) {
       table.AddRow({
           snapshot.worker == vdb::obs::kNoWorker
               ? "?"
-              : "w" + std::to_string(snapshot.worker),
+              : std::string("w").append(std::to_string(snapshot.worker)),
           std::to_string(snapshot.pid),
           qps,
           FmtSpanCell(snapshot, "worker.search_local"),
+          FmtSpanCell(snapshot, "worker.search_batch"),
           FmtSpanCell(snapshot, "rpc.handle"),
           FmtSpanCell(snapshot, "storage.wal_append"),
           vdb::TextTable::Int(GaugeValue(snapshot, "arena.occupancy")),
