@@ -190,15 +190,19 @@ Result<std::uint64_t> ShardMigrator::Move(ShardId shard, WorkerId from,
       (void)transport_.Call(WorkerEndpoint(to), EncodeDropShardRequest(drop));
       return cut;
     }
+
+    // 7. Drain writes that started under the *old* placement before
+    //    dual-writes stop: they list only the source as a replica and reach
+    //    the destination solely through the migration-table entry, which they
+    //    may look up after the cutover. Ending dual-writes first would let
+    //    such a write land only on the source, which drops the shard below.
+    //    Anything starting after this fence sees the post-cutover placement.
+    if (options_.write_fence) options_.write_fence();
     table_->End(shard);
 
-    // 7. Drain writes that started under the *old* placement (they still list
-    //    the source as a required replica and were dual-applied to the
-    //    destination) before the source drops the shard; anything starting
-    //    after this fence sees the post-cutover placement.
+    // 8. Drain the last best-effort dual-applies to the source, then clean it
+    //    up, best-effort (the source may already be gone).
     if (options_.write_fence) options_.write_fence();
-
-    // 8. Source cleanup, best-effort (the source may already be gone).
     DropShardRequest drop;
     drop.shard = shard;
     (void)transport_.Call(WorkerEndpoint(from), EncodeDropShardRequest(drop));

@@ -75,7 +75,9 @@ struct MigrationOptions {
   /// Barrier over in-flight client writes (Router::WriteFence). Invoked after
   /// dual-writes start so every write that predates the dual-write window has
   /// fully landed on the source before the copy baseline is read, and again
-  /// before cutover so late dual-apply failures are observed as dirty.
+  /// before cutover so late dual-apply failures are observed as dirty. After
+  /// cutover it drains writes routed by the old placement before dual-writes
+  /// end, and the last dual-applies to the source before the source drops it.
   std::function<void()> write_fence;
   /// Test hook: invoked after each copy chunk with its 0-based index (chaos
   /// schedules kill workers at seeded chunk boundaries through this).

@@ -61,6 +61,27 @@ class TransportConformanceTest
   }
 };
 
+// Round-trip and stats scenarios, run over the same planes but parametrized by
+// plane name. A `TransportFactory` parameter prints as a byte dump of the
+// object, heap addresses included, and gtest_discover_tests appends that dump
+// to each CTest name, so those names change from build to build; a plane name
+// prints the same every time.
+std::unique_ptr<Transport> MakePlane(const std::string& plane,
+                                     std::size_t max_body_bytes) {
+  if (plane == "Tcp") return MakeTcp(max_body_bytes);
+  return std::make_unique<InprocTransport>(max_body_bytes);
+}
+
+class TransportPlaneConformanceTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  std::unique_ptr<Transport> Make(
+      std::size_t max_body_bytes = kDefaultMaxBodyBytes) {
+    auto transport = MakePlane(GetParam(), max_body_bytes);
+    EXPECT_NE(transport, nullptr);
+    return transport;
+  }
+};
+
 Message EchoHandler(const Message& request) {
   Message response = request;
   response.type = MessageType::kInfoResponse;
@@ -75,7 +96,7 @@ Message MakeRequest(std::size_t body_bytes, std::uint8_t fill) {
   return request;
 }
 
-TEST_P(TransportConformanceTest, RoundTripAcrossBodySizes) {
+TEST_P(TransportPlaneConformanceTest, RoundTripAcrossBodySizes) {
   auto transport = Make();
   ASSERT_TRUE(transport->RegisterEndpoint("echo", EchoHandler).ok());
   for (const std::size_t body_bytes : {std::size_t{0}, std::size_t{1},
@@ -283,7 +304,7 @@ TEST_P(TransportConformanceTest, DestructionResolvesEveryOutstandingFuture) {
   }
 }
 
-TEST_P(TransportConformanceTest, StatsAccountCallsAndBytes) {
+TEST_P(TransportPlaneConformanceTest, StatsAccountCallsAndBytes) {
   auto transport = Make();
   ASSERT_TRUE(transport->RegisterEndpoint("echo", EchoHandler).ok());
   constexpr std::size_t kBody = 1000;
@@ -338,6 +359,11 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TransportFactory>& info) {
       return info.param.name;
     });
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPlanes, TransportPlaneConformanceTest,
+    ::testing::Values(std::string("Inproc"), std::string("Tcp")),
+    [](const ::testing::TestParamInfo<std::string>& info) { return info.param; });
 
 // ---- TCP-only wire behavior -------------------------------------------------
 
